@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -113,5 +116,50 @@ func TestEvaluatorColdAllocBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Errorf("fresh evaluator cold Eval: %.1f allocs, budget %d", allocs, budget)
+	}
+}
+
+// TestDeltaEvaluatorArenas pins the incremental evaluator's memory
+// footprint (see "Memory" on DeltaEvaluator): exactly three
+// (n+1)×(n+1) arenas — lost, pp and placedAt, ≈ 20·n² bytes — and
+// O(n) for everything else, the per-column factor memo included. It
+// walks the evaluator's own slice fields (embedded state too) by
+// reflection, so a new n² cache cannot slip in unnoticed.
+func TestDeltaEvaluatorArenas(t *testing.T) {
+	const n = 120
+	s, p := benchDeltaSetup(t, n)
+	dv := NewDeltaEvaluator()
+	dv.EvalSchedule(s, p)
+	s.Ckpt[3] = !s.Ckpt[3]
+	dv.EvalSchedule(s, p) // a flip, so flip-path scratch is sized too
+
+	var arenas []string
+	bytes := 0
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			switch {
+			case f.Kind() == reflect.Struct:
+				walk(f)
+			case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Slice:
+				for r := 0; r < f.Len(); r++ {
+					bytes += f.Index(r).Cap() * int(f.Type().Elem().Elem().Size())
+				}
+				if f.Len() == n+1 && f.Index(0).Len() == n+1 {
+					arenas = append(arenas, name)
+				}
+			case f.Kind() == reflect.Slice:
+				bytes += f.Cap() * int(f.Type().Elem().Size())
+			}
+		}
+	}
+	walk(reflect.ValueOf(dv).Elem())
+	sort.Strings(arenas)
+	if got := strings.Join(arenas, ","); got != "lost,placedAt,pp" {
+		t.Errorf("(n+1)² arenas = %s, want lost,placedAt,pp", got)
+	}
+	if limit := 20*(n+1)*(n+1) + 256*(n+1); bytes > limit {
+		t.Errorf("evaluator holds %d bytes in slices at n=%d, want ≤ %d (≈ 20·n² + O(n))", bytes, n, limit)
 	}
 }

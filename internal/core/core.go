@@ -107,12 +107,8 @@ func Eval(s *Schedule, p failure.Platform) float64 {
 type Evaluator struct {
 	schedState
 
-	lost [][]float64 // lost[k][i] = W^i_k + R^i_k (k, i in 1..n)
-	pz   []float64   // pz[k] = P(Z^{k+1}_k)
+	pz []float64 // pz[k] = P(Z^{k+1}_k)
 
-	// Per-task success factors of the factorized probability products
-	// (see expectedMakespan): fw[i] = e^{−λ w_i}, fc[i] = e^{−λ c_i}.
-	fw, fc []float64
 	// Accumulator buffers reused across Eval calls (cleared per call).
 	probSum, exSum []float64
 
@@ -134,16 +130,20 @@ type Evaluator struct {
 // NewEvaluator returns an empty evaluator ready for use.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// schedState is the position-space view of a loaded schedule plus the
-// scratch space of the lost-set DFS. It is shared by the cold
-// Evaluator and the incremental DeltaEvaluator so that both compute
-// every lost-set row with the byte-for-byte identical procedure
-// (lostRow) — the foundation of their bit-identity contract.
+// schedState is the position-space view of a loaded schedule: its
+// lost-set matrix with the scratch space of the DFS that fills it, and
+// the factors of the makespan pass. It is shared by the cold Evaluator
+// and the incremental DeltaEvaluator so that both compute every
+// lost-set row (lostRow) and every factor (colMemo) with the
+// byte-for-byte identical procedure — the foundation of their
+// bit-identity contract.
 type schedState struct {
 	// 1-based: index 0 unused so the code mirrors the paper's
 	// T_1..T_n notation.
 	w, c, r []float64
 	ckpt    []bool
+
+	lost [][]float64 // lost[k][i] = W^i_k + R^i_k (k, i in 1..n)
 
 	// Predecessor positions in CSR layout: the predecessors of
 	// position i are predAdj[predOff[i]:predOff[i+1]]. The flat layout
@@ -158,6 +158,13 @@ type schedState struct {
 	stamp int     // current row's placement stamp (strictly increasing)
 
 	posBuf []int // task id -> position scratch, reused across loads
+
+	// Factors of the makespan pass (see Evaluator.expectedMakespan):
+	// fw[i] = e^{−λ w_i}, fc[i] = e^{−λ c_i}, gate[i] = δ_i ? fc[i] : 1;
+	// memo[t] holds column t's lost-dependent factors (see colMemo).
+	fw, fc, gate []float64
+	memo         []colMemo
+	plat         failure.Platform
 }
 
 // arenaF64 carves an r×w float64 matrix out of one flat allocation:
@@ -193,6 +200,11 @@ func (ss *schedState) resizeState(n int) {
 		ss.predOff = make([]int32, n+2)
 		ss.st = make([]int, n+1)
 		ss.stk = make([]int32, 0, n+1)
+		ss.fw = make([]float64, n+1)
+		ss.fc = make([]float64, n+1)
+		ss.gate = make([]float64, n+1)
+		ss.memo = make([]colMemo, n+1)
+		ss.lost = arenaF64(n+1, n+1)
 	}
 	ss.w = ss.w[:n+1]
 	ss.c = ss.c[:n+1]
@@ -200,6 +212,11 @@ func (ss *schedState) resizeState(n int) {
 	ss.ckpt = ss.ckpt[:n+1]
 	ss.predOff = ss.predOff[:n+2]
 	ss.st = ss.st[:n+1]
+	ss.fw = ss.fw[:n+1]
+	ss.fc = ss.fc[:n+1]
+	ss.gate = ss.gate[:n+1]
+	ss.memo = ss.memo[:n+1]
+	ss.lost = ss.lost[:n+1]
 }
 
 // loadSchedule converts the schedule into position space.
@@ -303,21 +320,24 @@ func (ss *schedState) lostRowFrom(k, n, startI, stamp int, row []float64, placed
 	ss.stk = ss.stk[:0]
 }
 
+// lostAbove returns lost[i−1][i], the lost entry of row i's last event
+// k = i−1 (the empty lost set of the k = 0 event for i = 1).
+func (ss *schedState) lostAbove(i int) float64 {
+	if i < 2 {
+		return 0
+	}
+	return ss.lost[i-1][i]
+}
+
 // resize prepares buffers for an n-task schedule.
 func (e *Evaluator) resize(n int) {
 	e.resizeState(n)
 	if cap(e.pz) < n+1 {
-		e.lost = arenaF64(n+1, n+1)
 		e.pz = make([]float64, n+1)
-		e.fw = make([]float64, n+1)
-		e.fc = make([]float64, n+1)
 		e.probSum = make([]float64, n+1)
 		e.exSum = make([]float64, n+1)
 	}
-	e.lost = e.lost[:n+1]
 	e.pz = e.pz[:n+1]
-	e.fw = e.fw[:n+1]
-	e.fc = e.fc[:n+1]
 	e.probSum = e.probSum[:n+1]
 	e.exSum = e.exSum[:n+1]
 }
@@ -348,18 +368,9 @@ func (e *Evaluator) Eval(s *Schedule, p failure.Platform) float64 {
 		return total
 	}
 	e.load(s)
-	// Per-task success factors, permuted from the factor table into
-	// position space: fw[i] = e^{−λ w_i}, fc[i] = e^{−λ c_i}. The table
-	// holds the exact bits the old inline math.Exp calls produced, so
-	// shared-table and self-built evaluations are indistinguishable.
-	tab := e.ensureTable(g, p)
-	for id := 0; id < n; id++ {
-		i := e.posBuf[id] + 1
-		e.fw[i] = tab.fw[id]
-		e.fc[i] = tab.fc[id]
-	}
+	e.loadFactors(e.ensureTable(g, p))
 	e.computeLostSets(n)
-	return e.expectedMakespan(n, p)
+	return e.expectedMakespan(n)
 }
 
 // computeLostSets fills lost[k][i] = W^i_k + R^i_k for 1 ≤ k ≤ i ≤ n,
@@ -385,20 +396,22 @@ func (e *Evaluator) computeLostSets(n int) {
 // the exponent and calling Exp once per (k, i) pair, the probability
 // is maintained as a running product of per-term factors
 //
-//	P(k, i) = Π_{t=k+1..i−1} e^{−λ(lost[k][t]+w_t)} · (δ_t ? e^{−λ c_t} : 1)
+//	P(k, i) = Π_{t=k+1..i−1} e^{−λ(lost[k][t]+w_t)} · gate[t]
 //
-// which is algebraically identical (and no less accurate: the old
-// exponent accumulated the same n rounding errors inside Exp's
-// argument). The point of the factorization is that every
-// transcendental now depends on a single lost-set entry (or a single
-// task constant), so the incremental evaluator (DeltaEvaluator) can
-// cache the factors and re-derive a sweep step's products with plain
-// multiplications, calling Exp only for the handful of entries a
-// checkpoint flip actually changes. DeltaEvaluator reproduces this
-// loop bit for bit; any change to the order of operations here must
-// be mirrored there (the differential fuzz tests enforce this).
-func (e *Evaluator) expectedMakespan(n int, p failure.Platform) float64 {
-	lambda := p.Lambda
+// with gate[t] = e^{−λ c_t} if δ_t, else 1. This is algebraically
+// identical (and no less accurate: the old exponent accumulated the
+// same n rounding errors inside Exp's argument). Every remaining
+// transcendental — the window factor above and the property-C
+// expectation E[X_t | Z^t_k] — depends on one lost entry lost[k][t]
+// plus constants of column t, and lost entries rarely change down a
+// column. Both are therefore read from the column's memo (colMemo),
+// which recomputes them only when the entry's bits differ from the
+// last one seen in that column: a few transcendentals per run of equal
+// values instead of three per pair. DeltaEvaluator runs the same memo
+// and reproduces this loop bit for bit; any change to the order of
+// operations here must be mirrored there (the differential fuzz tests
+// and the golden bit corpus enforce this).
+func (e *Evaluator) expectedMakespan(n int) float64 {
 	total := 0.0
 	exSum := e.exSum     // Σ_{k<i-1} P(Z^i_k)·E[X_i|Z^i_k]
 	probSum := e.probSum // Σ_{k<i-1} P(Z^i_k)
@@ -406,22 +419,21 @@ func (e *Evaluator) expectedMakespan(n int, p failure.Platform) float64 {
 		exSum[i] = 0
 		probSum[i] = 0
 	}
-	// e.fw/e.fc hold the per-task success factors, permuted from the
-	// factor table by Eval before this runs.
+	e.syncMemos(1, n, true)
 
-	// k = 0 contributions: P(Z^i_0) = Π_{t<i} fw[t]·(δ_t ? fc[t] : 1)
-	// (no failure before X_i starts: every prefix segment succeeds).
+	// k = 0 contributions: P(Z^i_0) = Π_{t<i} fw[t]·gate[t] (no
+	// failure before X_i starts: every prefix segment succeeds), and
+	// the lost sets of the k = 0 event are empty.
 	p0 := 1.0
 	for i := 1; i <= n; i++ {
 		if i >= 2 { // for i = 1, k = 0 is the "last" k handled below
 			pr := p0
 			probSum[i] += pr
-			exSum[i] += pr * e.condExpected(i, 0, p)
+			_, cv := e.factors(i, 0)
+			exSum[i] += pr * cv
 		}
 		p0 *= e.fw[i]
-		if e.ckpt[i] {
-			p0 *= e.fc[i]
-		}
+		p0 *= e.gate[i]
 	}
 
 	// k ≥ 1 contributions require pz[k] = P(Z^{k+1}_k), which is
@@ -440,23 +452,21 @@ func (e *Evaluator) expectedMakespan(n int, p failure.Platform) float64 {
 		} else if last > 1 {
 			last = 1
 		}
-		ex := exSum[i] + last*e.condExpected(i, i-1, p)
-		total += ex
+		_, cv := e.factors(i, e.lostAbove(i))
+		total += exSum[i] + last*cv
 		e.pz[i-1] = last
 
 		// With pz[i-1] now known, push the k = i−1 contributions into
 		// all future rows i' ≥ i+1 ... but only k < i'−1 uses property
 		// A; k = i'−1 is the subtraction case. So push into i' ≥ k+2.
 		k := i - 1
-		if k >= 1 && e.pz[k] > 0 {
+		if k >= 1 && k+2 <= n && e.pz[k] > 0 {
 			row := e.lost[k]
 			P := 1.0
+			bf, _ := e.factors(k+1, row[k+1])
 			for ip := k + 2; ip <= n; ip++ {
-				t := ip - 1
-				P *= math.Exp(-lambda * (row[t] + e.w[t]))
-				if e.ckpt[t] {
-					P *= e.fc[t]
-				}
+				P *= bf
+				P *= e.gate[ip-1]
 				if P == 0 {
 					// The product is monotonically non-increasing, so
 					// every remaining contribution is exactly +0.0 —
@@ -465,33 +475,15 @@ func (e *Evaluator) expectedMakespan(n int, p failure.Platform) float64 {
 				}
 				pr := P * e.pz[k]
 				probSum[ip] += pr
-				exSum[ip] += pr * e.condExpected(ip, k, p)
+				// e.factors, inlined by hand (the call would not be).
+				m := &e.memo[ip]
+				if math.Float64bits(row[ip]) != m.key {
+					e.fill(ip, row[ip])
+				}
+				exSum[ip] += pr * m.cond
+				bf = m.bf
 			}
 		}
 	}
 	return total
-}
-
-// condExpected returns E[X_i | Z^i_k] per property C:
-// E[t(W^i_k+R^i_k+w_i; δ_i c_i; (W^i_i+R^i_i)−(W^i_k+R^i_k))].
-// k = 0 denotes the no-failure-so-far event with empty lost sets.
-func (e *Evaluator) condExpected(i, k int, p failure.Platform) float64 {
-	lostK := 0.0
-	if k >= 1 {
-		lostK = e.lost[k][i]
-	}
-	lostI := e.lost[i][i]
-	rec := lostI - lostK
-	if rec < 0 {
-		// T↓k_i ⊆ T↓i_i guarantees rec ≥ 0; tolerate rounding noise.
-		if rec < -1e-9*(1+lostI) {
-			panic(fmt.Sprintf("core: negative recovery %v at i=%d k=%d", rec, i, k))
-		}
-		rec = 0
-	}
-	ck := 0.0
-	if e.ckpt[i] {
-		ck = e.c[i]
-	}
-	return p.ExpectedTime(lostK+e.w[i], ck, rec)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -29,11 +28,10 @@ func SetDeltaPath(on bool) (prev bool) {
 }
 
 // DeltaEvaluator is the incremental companion of Evaluator: it keeps
-// the full Theorem-3 state of the last evaluated schedule — the
-// lost-set matrix, the factorized probability products and the
-// property-C conditional expectations — and, when asked to evaluate a
-// schedule that differs from the loaded one only in its checkpoint
-// mask, recomputes only the state the flipped bits can reach. The
+// the Theorem-3 state of the last evaluated schedule — the lost-set
+// matrix, the factorized probability products and the row
+// accumulators — and, when asked to evaluate a schedule that differs
+// from the loaded one only in its checkpoint mask, recomputes only the state the flipped bits can reach. The
 // result is bit-identical (math.Float64bits) to a cold
 // Evaluator.Eval of the same schedule; the differential fuzz and
 // property tests in delta_test.go enforce this on every step.
@@ -55,28 +53,34 @@ func SetDeltaPath(on bool) (prev bool) {
 //     earliest flipped placement point. Recomputed suffixes are
 //     diffed entry by entry; in practice a flip changes about one
 //     entry per affected row.
-//   - The factorized makespan pass (see Evaluator.expectedMakespan)
-//     calls a transcendental only per lost entry, not per (k, i) pair,
-//     so re-evaluation recomputes exp/expm1 only for the changed
-//     entries, the changed diagonals and the flipped column, and
-//     rebuilds the remaining suffix with plain multiplications. Rows
-//     i < j of the accumulators are reused as stored.
+//   - The running products P(k, ·) of the factorized makespan pass
+//     (see Evaluator.expectedMakespan) are stored (pp); each row's
+//     products strictly before its first changed factor are reused as
+//     stored, and only the tail is rebuilt. Rows i < j of the
+//     accumulators are reused as stored.
+//   - The lost-dependent transcendentals are not stored at all: both
+//     evaluators read them from a per-column memo (colMemo) keyed by
+//     the lost entry's bits, which recomputes them once per run of
+//     equal values down a column. A flip changes about one entry per
+//     affected row, so it adds about one miss per changed entry; the
+//     memo of a column whose diagonal or checkpoint flag changed is
+//     revalidated once, at the start of the accumulation pass.
 //
 // A full sweep over checkpoint counts N = 1..n−1 of a ranked strategy
 // (adjacent masks differ by one bit) therefore costs O(n²) amortized
-// flops plus a near-constant number of transcendentals per step,
-// against O(n²) transcendentals per step for cold evaluation.
+// flops and bit comparisons per step, plus transcendentals only on
+// memo misses — a fraction of a percent of the pairs on the pwg
+// families.
 //
 // # Memory
 //
-// The caches are six (n+1)×(n+1) float64 matrices plus the int32
-// placedAt matrix — each a single flat arena, so a resize costs O(1)
-// allocations and row-major passes walk memory linearly — ≈ 52·n²
-// bytes (26 MB at n = 700, 208 MB at n = 2000) per evaluator. (The
-// sixth matrix, condv, trades that memory for one fewer stream in the
-// accumulate inner loop — the measured hot spot at n = 2000.) Engines
-// that lease one evaluator per worker should budget accordingly at
-// very large n.
+// The O(n²) state is three (n+1)×(n+1) matrices — lost and pp
+// (float64) and placedAt (int32), ≈ 20·n² bytes (10 MB at n = 700,
+// 80 MB at n = 2000) per evaluator — each a single flat arena, so a
+// resize costs O(1) allocations and row-major passes walk memory
+// linearly. Everything else, the memo included, is O(n). Engines that
+// lease one evaluator per worker should budget accordingly at very
+// large n.
 //
 // # Ownership
 //
@@ -88,34 +92,24 @@ type DeltaEvaluator struct {
 	schedState
 
 	graph  *dag.Graph
-	plat   failure.Platform
 	order  []int  // copy of the loaded linearization
 	mask   []bool // current checkpoint mask, task-id space
 	pos    []int  // task id -> 1-based position
 	n      int
-	coef   float64 // fl(1/λ + D), the grouping ExpectedTime uses
 	loaded bool
 	value  float64
 
-	// Theorem-3 state, persisted between evaluations.
-	lost [][]float64
+	// Theorem-3 state, persisted between evaluations: lost (in
+	// schedState), placedAt and pp.
+	//
 	// placedAt[k][j]: the i at which row k's DFS placed position j in
 	// a lost set (0: never). A flip of j leaves row k unchanged when
 	// placedAt[k][j] == 0, and leaves entries i < placedAt[k][j]
 	// unchanged otherwise, so row recomputation resumes mid-row.
 	placedAt [][]int32
 
-	// Factor caches: every transcendental of the makespan pass, keyed
-	// by the single lost entry / task constant it depends on.
-	fw, fc    []float64   // e^{−λ w_i}, e^{−λ c_i}
-	bf        [][]float64 // bf[k][t] = e^{−λ(lost[k][t]+w_t)}
-	pp        [][]float64 // pp[k][t]: running product P(k,·) through factor t
-	er2       [][]float64 // er2[k][i] = fl(e^{λ·rec(k,i)}·(1/λ+D))
-	cm        [][]float64 // cm[k][i] = expm1(λ·((lost[k][i]+w_i)+δ_i c_i))
-	condv     [][]float64 // condv[k][i] = E[X_i | Z^i_k]: 0 if cm==0, else fl(er2·cm)
-	er0       []float64   // er2 for the k = 0 event (lostK = 0)
-	cm0, cm0c []float64   // cm for k = 0 with δ_i = false / true
-	p0        []float64   // p0[i]: k = 0 running product through position i
+	pp [][]float64 // pp[k][t]: running product P(k,·) through factor t
+	p0 []float64   // p0[i]: k = 0 running product through position i
 
 	// Row accumulators, persisted so the clean prefix is reused.
 	probSum, exSum []float64
@@ -124,11 +118,9 @@ type DeltaEvaluator struct {
 	totPrefix      []float64 // Σ_{i'≤i} E[X_i']
 
 	// Scratch.
-	flips      []int // pending flipped positions, ascending
-	rowBuf     []float64
-	chgK, chgT []int // changed lost entries (k, t) of this batch
-	diagChg    []int // changed diagonal positions
-	minChg     []int // per row: first changed window-factor position
+	flips  []int // pending flipped positions, ascending
+	rowBuf []float64
+	minChg []int // per row: first changed window-factor position
 
 	// cold evaluates schedules whose mask diverged too far from the
 	// loaded one for incremental maintenance to win; the loaded state
@@ -248,6 +240,7 @@ func (d *DeltaEvaluator) EvalSchedule(s *Schedule, p failure.Platform) float64 {
 			d.mask[id] = s.Ckpt[id]
 			j := d.pos[id]
 			d.ckpt[j] = s.Ckpt[id]
+			d.setGate(j)
 			d.flips = append(d.flips, j)
 		}
 	}
@@ -284,18 +277,8 @@ func (d *DeltaEvaluator) Invalidate() {
 func (d *DeltaEvaluator) resizeDelta(n int) {
 	d.resizeState(n)
 	if cap(d.pz) < n+1 {
-		d.lost = arenaF64(n+1, n+1)
 		d.placedAt = arenaI32(n+1, n+1)
-		d.bf = arenaF64(n+1, n+1)
 		d.pp = arenaF64(n+1, n+1)
-		d.er2 = arenaF64(n+1, n+1)
-		d.cm = arenaF64(n+1, n+1)
-		d.condv = arenaF64(n+1, n+1)
-		d.fw = make([]float64, n+1)
-		d.fc = make([]float64, n+1)
-		d.er0 = make([]float64, n+1)
-		d.cm0 = make([]float64, n+1)
-		d.cm0c = make([]float64, n+1)
 		d.p0 = make([]float64, n+1)
 		d.probSum = make([]float64, n+1)
 		d.exSum = make([]float64, n+1)
@@ -305,29 +288,13 @@ func (d *DeltaEvaluator) resizeDelta(n int) {
 		d.pos = make([]int, n)
 		d.rowBuf = make([]float64, n+1)
 		d.minChg = make([]int, n+1)
-		// Scratch is sized for the hot path up front — a single-bit
-		// flip of a ranked-prefix mask changes about one lost entry per
-		// affected row — so flips never grow a slice mid-evaluation:
-		// the flip path is zero-alloc (pinned by TestDeltaFlipAllocFree).
-		// Pathological flips that change more than 2(n+1) entries fall
-		// back to append's amortized growth, which only costs memory.
+		// Scratch is sized for the hot path up front, so flips never
+		// grow a slice mid-evaluation: the flip path is zero-alloc
+		// (pinned by TestDeltaFlipAllocFree).
 		d.flips = make([]int, 0, n+1)
-		d.diagChg = make([]int, 0, n+1)
-		d.chgK = make([]int, 0, 2*(n+1))
-		d.chgT = make([]int, 0, 2*(n+1))
 	}
-	d.lost = d.lost[:n+1]
 	d.placedAt = d.placedAt[:n+1]
-	d.bf = d.bf[:n+1]
 	d.pp = d.pp[:n+1]
-	d.er2 = d.er2[:n+1]
-	d.cm = d.cm[:n+1]
-	d.condv = d.condv[:n+1]
-	d.fw = d.fw[:n+1]
-	d.fc = d.fc[:n+1]
-	d.er0 = d.er0[:n+1]
-	d.cm0 = d.cm0[:n+1]
-	d.cm0c = d.cm0c[:n+1]
 	d.p0 = d.p0[:n+1]
 	d.probSum = d.probSum[:n+1]
 	d.exSum = d.exSum[:n+1]
@@ -340,52 +307,27 @@ func (d *DeltaEvaluator) resizeDelta(n int) {
 }
 
 // loadFull performs a cold-equivalent evaluation of s, rebuilding
-// every cache, and returns the expected makespan.
+// all state, and returns the expected makespan.
 func (d *DeltaEvaluator) loadFull(s *Schedule, p failure.Platform) float64 {
 	g := s.Graph
 	n := g.N()
 	d.resizeDelta(n)
 	d.graph = g
-	d.plat = p
 	d.n = n
 	d.order = append(d.order[:0], s.Order...)
 	d.mask = append(d.mask[:0], s.Ckpt...)
-	d.posBuf = g.PositionsInto(s.Order, d.posBuf)
+	d.loadSchedule(s)
 	for id := 0; id < n; id++ {
 		d.pos[id] = d.posBuf[id] + 1
 	}
-	d.loadSchedule(s)
-
-	lambda := p.Lambda
-	// Schedule-independent transcendentals come permuted from the
-	// factor table (bit-identical to the inline math.Exp/Expm1 calls
-	// this loop used to make — see FactorTable).
-	tab := d.ensureTable(g, p)
-	d.coef = tab.coef
-	for id := 0; id < n; id++ {
-		i := d.pos[id]
-		d.fw[i] = tab.fw[id]
-		d.fc[i] = tab.fc[id]
-		d.cm0[i] = tab.cm0[id]
-		d.cm0c[i] = tab.cm0c[id]
-	}
-
+	d.loadFactors(d.ensureTable(g, p))
 	for k := 1; k <= n; k++ {
 		d.lostRow(k, n, d.lost[k], d.placedAt[k])
 	}
-	for k := 1; k <= n; k++ {
-		row := d.lost[k]
-		for i := k + 1; i <= n; i++ {
-			d.bf[k][i] = math.Exp(-lambda * (row[i] + d.w[i]))
-			d.refreshCond(k, i)
-		}
-	}
-	for i := 1; i <= n; i++ {
-		d.er0[i] = math.Exp(lambda*d.lost[i][i]) * d.coef
-	}
+	d.syncMemos(1, n, true)
 	d.totPrefix[0] = 0
 	for k := 0; k <= n; k++ {
-		d.minChg[k] = 0 // every factor is fresh: rebuild all products
+		d.minChg[k] = 0 // nothing is stored yet: rebuild all products
 	}
 	d.value = d.accumulate(1)
 	d.loaded = true
@@ -393,65 +335,10 @@ func (d *DeltaEvaluator) loadFull(s *Schedule, p failure.Platform) float64 {
 	return d.value
 }
 
-// refreshCond recomputes the property-C factor caches of the (k, i)
-// pair from the current lost entries and checkpoint flag, replicating
-// failure.Platform.ExpectedTime's exact grouping.
-func (d *DeltaEvaluator) refreshCond(k, i int) {
-	lambda := d.plat.Lambda
-	lostK := d.lost[k][i]
-	wi := lostK + d.w[i]
-	ck := 0.0
-	if d.ckpt[i] {
-		ck = d.c[i]
-	}
-	cmv := math.Expm1(lambda * (wi + ck))
-	erv := math.Exp(lambda*d.recClamped(k, i)) * d.coef
-	d.cm[k][i] = cmv
-	d.er2[k][i] = erv
-	if cmv == 0 {
-		d.condv[k][i] = 0
-	} else {
-		d.condv[k][i] = erv * cmv
-	}
-}
-
-// recClamped returns rec(k, i) = (W^i_i+R^i_i) − (W^i_k+R^i_k),
-// clamped exactly as Evaluator.condExpected clamps it.
-func (d *DeltaEvaluator) recClamped(k, i int) float64 {
-	lostK := d.lost[k][i]
-	lostI := d.lost[i][i]
-	rec := lostI - lostK
-	if rec < 0 {
-		if rec < -1e-9*(1+lostI) {
-			panic(fmt.Sprintf("core: negative recovery %v at i=%d k=%d", rec, i, k))
-		}
-		rec = 0
-	}
-	return rec
-}
-
-// cond returns E[X_i | Z^i_k] from the factor caches — bit-identical
-// to Evaluator.condExpected (which computes fl(fl(e^{λrec}·coef)·cm)
-// with an early 0 when the expm1 argument is zero).
-func (d *DeltaEvaluator) cond(i, k int) float64 {
-	if k == 0 {
-		cmv := d.cm0[i]
-		if d.ckpt[i] {
-			cmv = d.cm0c[i]
-		}
-		if cmv == 0 {
-			return 0
-		}
-		return d.er0[i] * cmv
-	}
-	return d.condv[k][i]
-}
-
 // applyFlips incrementally re-evaluates after the pending checkpoint
 // flips and returns the new expected makespan.
 func (d *DeltaEvaluator) applyFlips() float64 {
 	n := d.n
-	lambda := d.plat.Lambda
 	sort.Ints(d.flips)
 	dmin := d.flips[0]
 
@@ -461,15 +348,11 @@ func (d *DeltaEvaluator) applyFlips() float64 {
 	// earliest such placement point i* on: the DFS through i*−1 never
 	// read a flipped flag, so its state is reconstructed from the
 	// recorded placements and the traversal resumes mid-row.
-	// Recomputed suffixes are diffed entry by entry so phase 2 touches
-	// only genuinely changed state. minChg[k] tracks the first changed
-	// window factor of each row — a flipped δ_t toggles the fc gate of
-	// factor t for every row k < t, a changed entry (k, t) changes
-	// bf[k][t] — so phase 3 can reuse stored running products strictly
-	// before it.
-	d.chgK = d.chgK[:0]
-	d.chgT = d.chgT[:0]
-	d.diagChg = d.diagChg[:0]
+	// Recomputed suffixes are diffed entry by entry: minChg[k] tracks
+	// the first changed window factor of each row — a flipped δ_t
+	// toggles the gate of factor t for every row k < t, a changed entry
+	// (k, t) changes the window factor of t — so phase 2 can reuse
+	// stored running products strictly before it.
 	for k := 0; k <= n; k++ {
 		d.minChg[k] = n + 1
 	}
@@ -509,14 +392,8 @@ func (d *DeltaEvaluator) applyFlips() float64 {
 			// would miss a +0/−0 flip and re-dirty NaNs forever.
 			if math.Float64bits(row[i]) != math.Float64bits(d.rowBuf[i]) {
 				row[i] = d.rowBuf[i]
-				if i == k {
-					d.diagChg = append(d.diagChg, k)
-				} else {
-					d.chgK = append(d.chgK, k)
-					d.chgT = append(d.chgT, i)
-					if i < d.minChg[k] {
-						d.minChg[k] = i
-					}
+				if i != k && i < d.minChg[k] {
+					d.minChg[k] = i
 				}
 			}
 		}
@@ -533,50 +410,11 @@ func (d *DeltaEvaluator) applyFlips() float64 {
 		}
 	}
 
-	// Phase 2: factor maintenance — the only transcendentals of a
-	// delta step. Entries first; diagonal columns after, since er2
-	// depends on the (now final) diagonals; the flipped columns last
-	// (cm depends on the flipped δ).
-	for x, k := range d.chgK {
-		t := d.chgT[x]
-		d.bf[k][t] = math.Exp(-lambda * (d.lost[k][t] + d.w[t]))
-		d.refreshCond(k, t)
-	}
-	for _, t0 := range d.diagChg {
-		// A changed diagonal feeds rec(·, t0): refresh column t0 of
-		// the recovery cache (the diagonal itself is not a window
-		// factor — windows of row t0 start at t0+1 — and cm[k][t0]
-		// reads lost[k][t0], not the diagonal).
-		d.er0[t0] = math.Exp(lambda*d.lost[t0][t0]) * d.coef
-		for k := 1; k < t0; k++ {
-			erv := math.Exp(lambda*d.recClamped(k, t0)) * d.coef
-			d.er2[k][t0] = erv
-			if cmv := d.cm[k][t0]; cmv == 0 {
-				d.condv[k][t0] = 0
-			} else {
-				d.condv[k][t0] = erv * cmv
-			}
-		}
-	}
-	for _, j := range d.flips {
-		for k := 1; k < j; k++ {
-			lostK := d.lost[k][j]
-			wi := lostK + d.w[j]
-			ck := 0.0
-			if d.ckpt[j] {
-				ck = d.c[j]
-			}
-			cmv := math.Expm1(lambda * (wi + ck))
-			d.cm[k][j] = cmv
-			if cmv == 0 {
-				d.condv[k][j] = 0
-			} else {
-				d.condv[k][j] = d.er2[k][j] * cmv
-			}
-		}
-	}
-
-	// Phase 3: rebuild the accumulator suffix from the first flip.
+	// Phase 2: rebuild the accumulator suffix from the first flip. The
+	// changed entries, diagonals and flags need no maintenance of their
+	// own: the memo recomputes the factors of a changed entry when the
+	// pass meets it, and revalidates a column whose diagonal or flag
+	// changed.
 	d.value = d.accumulate(dmin)
 	d.flips = d.flips[:0]
 	return d.value
@@ -586,14 +424,16 @@ func (d *DeltaEvaluator) applyFlips() float64 {
 // i ≥ dmin and returns the total expected makespan. It replays
 // Evaluator.expectedMakespan's exact loop structure — k = 0 band
 // first, then pushes in increasing k interleaved with row
-// finalization — reading cached factors instead of calling
-// transcendentals, so every accumulator receives the same additions
+// finalization — reading the same memoized factors and the stored
+// running products, so every accumulator receives the same additions
 // in the same order and the result is bit-identical.
 func (d *DeltaEvaluator) accumulate(dmin int) float64 {
 	n := d.n
 	if dmin < 1 {
 		dmin = 1
 	}
+	// Columns < dmin kept their diagonal and flag; revalidate the rest.
+	d.syncMemos(dmin, n, false)
 	for i := dmin; i <= n; i++ {
 		d.probSum[i] = 0
 		d.exSum[i] = 0
@@ -608,12 +448,11 @@ func (d *DeltaEvaluator) accumulate(dmin int) float64 {
 		if i >= 2 {
 			pr := p0run
 			d.probSum[i] += pr
-			d.exSum[i] += pr * d.cond(i, 0)
+			_, cv := d.factors(i, 0)
+			d.exSum[i] += pr * cv
 		}
 		p0run *= d.fw[i]
-		if d.ckpt[i] {
-			p0run *= d.fc[i]
-		}
+		p0run *= d.gate[i]
 		d.p0[i] = p0run
 	}
 
@@ -626,7 +465,8 @@ func (d *DeltaEvaluator) accumulate(dmin int) float64 {
 			} else if last > 1 {
 				last = 1
 			}
-			d.exRow[i] = d.exSum[i] + last*d.cond(i, i-1)
+			_, cv := d.factors(i, d.lostAbove(i))
+			d.exRow[i] = d.exSum[i] + last*cv
 			d.pz[i-1] = last
 		}
 		k := i - 1
@@ -669,9 +509,9 @@ func (d *DeltaEvaluator) accumulate(dmin int) float64 {
 // stored for the next evaluation.
 func (d *DeltaEvaluator) pushRow(k, startIP int) {
 	n := d.n
-	bfk, ppk, condk := d.bf[k], d.pp[k], d.condv[k]
+	lostk, ppk, gate, memo := d.lost[k], d.pp[k], d.gate, d.memo
 	probSum, exSum := d.probSum, d.exSum
-	_, _, _ = bfk[n], ppk[n], condk[n] // bounds hints
+	_, _, _, _ = lostk[n], ppk[n], gate[n], memo[n] // bounds hints
 	_, _ = probSum[n], exSum[n]
 	pzk := d.pz[k]
 	b := d.minChg[k]
@@ -688,7 +528,12 @@ func (d *DeltaEvaluator) pushRow(k, startIP int) {
 		}
 		pr := P * pzk
 		probSum[ip] += pr
-		if cv := condk[ip]; cv != 0 {
+		// d.factors, inlined by hand (the call would not be).
+		m := &memo[ip]
+		if math.Float64bits(lostk[ip]) != m.key {
+			d.fill(ip, lostk[ip])
+		}
+		if cv := m.cond; cv != 0 {
 			exSum[ip] += pr * cv
 		}
 	}
@@ -700,12 +545,11 @@ func (d *DeltaEvaluator) pushRow(k, startIP int) {
 	if ip-2 >= k+1 {
 		P = ppk[ip-2]
 	}
+	bf, _ := d.factors(ip-1, lostk[ip-1])
 	for ; ip <= n; ip++ {
 		t := ip - 1
-		P *= bfk[t]
-		if d.ckpt[t] {
-			P *= d.fc[t]
-		}
+		P *= bf
+		P *= gate[t]
 		ppk[t] = P
 		if P == 0 {
 			for t2 := t + 1; t2 <= n-1; t2++ {
@@ -715,9 +559,14 @@ func (d *DeltaEvaluator) pushRow(k, startIP int) {
 		}
 		pr := P * pzk
 		probSum[ip] += pr
-		if cv := condk[ip]; cv != 0 {
+		m := &memo[ip]
+		if math.Float64bits(lostk[ip]) != m.key {
+			d.fill(ip, lostk[ip])
+		}
+		if cv := m.cond; cv != 0 {
 			exSum[ip] += pr * cv
 		}
+		bf = m.bf
 	}
 }
 
@@ -731,7 +580,7 @@ func (d *DeltaEvaluator) maintainRow(k int) {
 	if b > n {
 		return // no factor of this row changed
 	}
-	bfk, ppk := d.bf[k], d.pp[k]
+	lostk, ppk := d.lost[k], d.pp[k]
 	ip := b + 1
 	if ip < k+2 {
 		ip = k + 2
@@ -742,10 +591,9 @@ func (d *DeltaEvaluator) maintainRow(k int) {
 	}
 	for ; ip <= n; ip++ {
 		t := ip - 1
-		P *= bfk[t]
-		if d.ckpt[t] {
-			P *= d.fc[t]
-		}
+		bf, _ := d.factors(t, lostk[t])
+		P *= bf
+		P *= d.gate[t]
 		ppk[t] = P
 		if P == 0 {
 			for t2 := t + 1; t2 <= n-1; t2++ {

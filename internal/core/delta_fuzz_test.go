@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/failure"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -14,7 +15,10 @@ import (
 // rng seed), the failure regime and an arbitrary flip/rewrite script,
 // and every step asserts that DeltaEvaluator's output is bit-identical
 // to a cold Evaluator.Eval and agrees with the Algorithm-1 reference
-// within tolerance. Run `go test -fuzz=FuzzDeltaEvaluator ./internal/core`
+// within tolerance. Besides flips and mask rewrites, the script can
+// switch to a second linearization or another failure rate and revisit
+// an earlier mask, so every reload must reset the per-column factor
+// memo and no stale memo key may survive one. Run `go test -fuzz=FuzzDeltaEvaluator ./internal/core`
 // to explore; the seed corpus below runs on every plain `go test`
 // (including CI's -race pass).
 func FuzzDeltaEvaluator(f *testing.F) {
@@ -22,23 +26,27 @@ func FuzzDeltaEvaluator(f *testing.F) {
 	f.Add(uint64(42), uint64(0), []byte{7, 7, 7, 7})
 	f.Add(uint64(977), uint64(12), []byte{0xff, 0x80, 0x01, 0x40, 0x03})
 	f.Add(uint64(31337), uint64(5), []byte{5, 250, 17, 99, 99, 0, 0, 128})
+	f.Add(uint64(7), uint64(3), []byte{3, 0xe8, 3, 4, 0xe1, 5, 0xd9, 0xe8, 3, 0xdc, 9})
+	f.Add(uint64(2024), uint64(4), []byte{1, 2, 0xe3, 0xe9, 1, 0xda, 0xe4, 0xf3, 0xdb, 6})
 	f.Fuzz(func(t *testing.T, seed, regime uint64, script []byte) {
 		r := rng.New(seed%1_000_000 + 1)
 		n := 2 + r.Intn(30)
 		g := randomDAG(r, n)
-		order := identOrder(n)
+		orders := [][]int{identOrder(n), maxReadyOrder(g)}
+		lin := 0
 		lambdas := []float64{0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
 		p := failure.Platform{
 			Lambda:   lambdas[regime%uint64(len(lambdas))],
 			Downtime: float64(regime % 3),
 		}
 		mask := make([]bool, n)
-		s := &Schedule{Graph: g, Order: order, Ckpt: mask}
+		s := &Schedule{Graph: g, Order: orders[lin], Ckpt: mask}
 		dv := NewDeltaEvaluator()
 		cold := NewEvaluator()
 		if len(script) > 48 {
 			script = script[:48]
 		}
+		var history [][]bool // masks evaluated so far, oldest first
 		for step, b := range append([]byte{0}, script...) {
 			switch {
 			case step > 0 && b >= 0xf8:
@@ -51,9 +59,25 @@ func FuzzDeltaEvaluator(f *testing.F) {
 				for e := 0; e < int(b%8)+2; e++ {
 					mask[(int(b)*7+e*13)%n] = !mask[(int(b)*7+e*13)%n]
 				}
+			case step > 0 && b >= 0xe8:
+				// Rare opcode: switch linearization (a reload).
+				lin = 1 - lin
+				s.Order = orders[lin]
+			case step > 0 && b >= 0xe0:
+				// Rare opcode: switch failure rate (a reload, or the
+				// λ = 0 short-circuit that leaves the state untouched).
+				p.Lambda = lambdas[(int(b)+int(regime))%len(lambdas)]
+			case step > 0 && b >= 0xd8:
+				// Rare opcode: revisit the mask of up to 8 steps ago.
+				back := int(b-0xd8) + 1
+				if back > len(history) {
+					back = len(history)
+				}
+				copy(mask, history[len(history)-back])
 			case step > 0:
 				mask[int(b)%n] = !mask[int(b)%n]
 			}
+			history = append(history, append([]bool(nil), mask...))
 			got := dv.EvalSchedule(s, p)
 			want := cold.Eval(s, p)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -70,4 +94,31 @@ func FuzzDeltaEvaluator(f *testing.F) {
 			}
 		}
 	})
+}
+
+// maxReadyOrder returns the linearization of g that always runs the
+// highest-numbered ready task: for randomDAG's forward-edge graphs a
+// second valid order besides the identity.
+func maxReadyOrder(g *dag.Graph) []int {
+	n := g.N()
+	indeg := make([]int, n)
+	for id := range indeg {
+		indeg[id] = len(g.Preds(id))
+	}
+	order := make([]int, 0, n)
+	for len(order) < n {
+		next := -1
+		for id := n - 1; id >= 0; id-- {
+			if indeg[id] == 0 {
+				next = id
+				break
+			}
+		}
+		indeg[next] = -1
+		for _, v := range g.Succs(next) {
+			indeg[v]--
+		}
+		order = append(order, next)
+	}
+	return order
 }

@@ -1,21 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/dag"
 	"repro/internal/failure"
 )
 
-// FactorTable caches every transcendental of the makespan pass that
-// depends only on the (graph, platform) pair — not on the schedule's
+// FactorTable caches the transcendentals of the makespan pass that
+// depend only on the (graph, platform) pair — not on the schedule's
 // linearization or checkpoint mask: the per-task success factors
-// e^{−λw}, e^{−λc}, the k = 0 conditional-expectation terms
-// expm1(λw) / expm1(λ(w+c)), and the grouping constant fl(1/λ + D).
-// Everything is keyed by task id; evaluators permute the factors into
-// position space when they load a schedule, so repeated loads of the
-// same instance — every cell of a portfolio search — cost zero
-// transcendentals here.
+// e^{−λw} and e^{−λc}. (The factors that depend on a lost-set entry
+// are memoized per column instead; see colMemo.) Both are keyed by
+// task id; evaluators permute them into position space when they load
+// a schedule, so repeated loads of the same instance — every cell of a
+// portfolio search — cost zero transcendentals here.
 //
 // A FactorTable is immutable after NewFactorTable returns. That is
 // what makes it the one piece of evaluator state that MAY be shared
@@ -31,15 +31,12 @@ type FactorTable struct {
 	graph *dag.Graph
 	plat  failure.Platform
 
-	coef float64   // fl(1/λ + D), the grouping ExpectedTime uses
-	fw   []float64 // task id -> e^{−λ w}
-	fc   []float64 // task id -> e^{−λ c}
-	cm0  []float64 // task id -> expm1(λ (w+0)): k = 0, δ = false
-	cm0c []float64 // task id -> expm1(λ (w+c)): k = 0, δ = true
+	fw []float64 // task id -> e^{−λ w}
+	fc []float64 // task id -> e^{−λ c}
 }
 
 // NewFactorTable computes the factor table of the (graph, platform)
-// pair. Cost: four transcendentals per task, paid once — the point is
+// pair. Cost: two transcendentals per task, paid once — the point is
 // to pay it once per instance instead of once per evaluator load.
 func NewFactorTable(g *dag.Graph, p failure.Platform) *FactorTable {
 	n := g.N()
@@ -48,19 +45,11 @@ func NewFactorTable(g *dag.Graph, p failure.Platform) *FactorTable {
 		plat:  p,
 		fw:    make([]float64, n),
 		fc:    make([]float64, n),
-		cm0:   make([]float64, n),
-		cm0c:  make([]float64, n),
 	}
 	if !p.FailureFree() {
-		lambda := p.Lambda
-		t.coef = 1/lambda + p.Downtime
 		for id := 0; id < n; id++ {
-			w := g.Weight(id)
-			c := g.CkptCost(id)
-			t.fw[id] = math.Exp(-lambda * w)
-			t.fc[id] = math.Exp(-lambda * c)
-			t.cm0[id] = math.Expm1(lambda * (w + 0))
-			t.cm0c[id] = math.Expm1(lambda * (w + c))
+			t.fw[id] = math.Exp(-p.Lambda * g.Weight(id))
+			t.fc[id] = math.Exp(-p.Lambda * g.CkptCost(id))
 		}
 	}
 	return t
@@ -110,4 +99,93 @@ func (d *DeltaEvaluator) ensureTable(g *dag.Graph, p failure.Platform) *FactorTa
 		}
 	}
 	return d.table
+}
+
+// colMemo memoizes, for one position t, the two factors of the makespan
+// pass that depend on a lost-set entry x = lost[k][t]:
+//
+//	bf   = e^{−λ(x + w_t)}, the window factor of P(k, ·) at t;
+//	cond = E[X_t | Z^t_k] = ExpectedTime(x + w_t, δ_t c_t, lost[t][t] − x).
+//
+// Down a column the lost entries rarely change — on the pwg families
+// well under 1 % of entries differ from the one above them, and most
+// are exactly 0 — so keeping the factors of the last value seen turns
+// almost every pair's three transcendentals into one bit comparison.
+// The memo is a pure-function cache: its factors are exact for any row
+// whose entry has the key's bits, as long as the column's other inputs
+// (diag, ck, w_t and λ) are the ones it was filled with.
+type colMemo struct {
+	key      uint64  // Float64bits of the x the factors belong to
+	bf, cond float64 // the factors of x
+	diag, ck float64 // lost[t][t] and δ_t·c_t that cond was computed for
+}
+
+// loadFactors installs the table's per-task factors in position space
+// for the loaded schedule.
+func (ss *schedState) loadFactors(tab *FactorTable) {
+	ss.plat = tab.plat
+	for id, p := range ss.posBuf {
+		ss.fw[p+1] = tab.fw[id]
+		ss.fc[p+1] = tab.fc[id]
+		ss.setGate(p + 1)
+	}
+}
+
+// setGate sets gate[i] from δ_i: products multiply by the gate
+// unconditionally, and x·1 == x bit for bit.
+func (ss *schedState) setGate(i int) {
+	ss.gate[i] = 1
+	if ss.ckpt[i] {
+		ss.gate[i] = ss.fc[i]
+	}
+}
+
+// syncMemos revalidates the memos of columns from..n against their
+// current diagonal and checkpoint flag. A column whose diagonal or
+// flag changed — every column when force is set, after a load — is
+// refilled with the factors of x = 0, the k = 0 event every pass
+// looks up first.
+func (ss *schedState) syncMemos(from, n int, force bool) {
+	for t := from; t <= n; t++ {
+		m := &ss.memo[t]
+		diag, ck := ss.lost[t][t], 0.0
+		if ss.ckpt[t] {
+			ck = ss.c[t]
+		}
+		if force || math.Float64bits(diag) != math.Float64bits(m.diag) || math.Float64bits(ck) != math.Float64bits(m.ck) {
+			m.diag, m.ck = diag, ck
+			ss.fill(t, 0)
+		}
+	}
+}
+
+// factors returns the window factor and conditional expectation of
+// position t for lost entry x, recomputing them only when x differs
+// (by bits, so +0/−0 and NaNs never alias) from the column's key.
+func (ss *schedState) factors(t int, x float64) (bf, cond float64) {
+	m := &ss.memo[t]
+	if math.Float64bits(x) != m.key {
+		ss.fill(t, x)
+	}
+	return m.bf, m.cond
+}
+
+// fill computes column t's factors for lost entry x. It is the one
+// place the evaluators call a transcendental that depends on a lost
+// set; cond is failure.Platform.ExpectedTime itself, so both
+// evaluators reproduce property C bit for bit.
+func (ss *schedState) fill(t int, x float64) {
+	m := &ss.memo[t]
+	rec := m.diag - x
+	if rec < 0 {
+		// T↓k_t ⊆ T↓t_t guarantees rec ≥ 0; tolerate rounding noise.
+		if rec < -1e-9*(1+m.diag) {
+			panic(fmt.Sprintf("core: negative recovery %v at position %d", rec, t))
+		}
+		rec = 0
+	}
+	wt := x + ss.w[t]
+	m.key = math.Float64bits(x)
+	m.bf = math.Exp(-ss.plat.Lambda * wt)
+	m.cond = ss.plat.ExpectedTime(wt, m.ck, rec)
 }

@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-hot bench-baseline bench-gate \
+.PHONY: build test race bench bench-json bench-hot bench-baseline bench-gate bench-ab \
 	fuzz lint fmt vet cover check serve staticcheck wfvet shuffle govulncheck \
 	profile
 
@@ -125,6 +125,28 @@ bench-gate:
 	    -threshold $(GATE_THRESHOLD) -normalize -require '$(GATE_REQUIRE)' < "$$out"; rc=$$?; \
 	else echo "bench-gate: benchmark run failed" >&2; fi; \
 	rm -f "$$out"; exit $$rc
+
+# Interleaved A/B gate: `make bench-ab BASE=<rev>` extracts BASE into a
+# temporary directory and runs GATE_RUN there and in this working tree
+# alternately, two rounds each, so both sides see the same host drift.
+# The BASE samples go into a temporary trajectory file and the working
+# tree's samples, printed first, are gated against them with the same
+# threshold and required set as bench-gate; no geomean normalization
+# is needed, as both sides ran on the same machine in the same minutes.
+bench-ab:
+	@if [ -z "$(BASE)" ]; then echo "bench-ab: set BASE=<rev>" >&2; exit 2; fi
+	@work=$$(mktemp -d); trap 'rm -rf "$$work"' EXIT; \
+	mkdir "$$work/base" && git archive --format=tar '$(BASE)' | tar -x -C "$$work/base" || exit 1; \
+	for r in 1 2; do \
+	  echo "bench-ab: round $$r: BASE" >&2; \
+	  (cd "$$work/base" && $(GATE_RUN)) >> "$$work/base.txt" || exit 1; \
+	  echo "bench-ab: round $$r: working tree" >&2; \
+	  $(GATE_RUN) >> "$$work/head.txt" || exit 1; \
+	done; \
+	cat "$$work/head.txt"; \
+	$(GO) run ./cmd/benchjson -file "$$work/ab.json" -label base < "$$work/base.txt" >/dev/null || exit 1; \
+	$(GO) run ./cmd/benchjson -file "$$work/ab.json" -gate base \
+	  -threshold $(GATE_THRESHOLD) -require '$(GATE_REQUIRE)' < "$$work/head.txt"
 
 # Test coverage: per-function profile in coverage.out plus a total,
 # mirroring the CI coverage step, so regressions in any package

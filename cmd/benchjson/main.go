@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -55,12 +56,18 @@ type Benchmark struct {
 	Raw         string  `json:"raw"`
 }
 
-// Entry is one labelled benchmark run.
+// Entry is one labelled benchmark run. NumCPU, GOMAXPROCS and
+// GoVersion are its machine record, filled at ingest: the host's
+// logical CPU count, the GOMAXPROCS the benchmarks ran with (their
+// name's -N suffix; go test omits it at 1) and the Go toolchain.
 type Entry struct {
 	Label      string      `json:"label"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -180,6 +187,8 @@ func run(path, label, extract string, in io.Reader, out io.Writer) error {
 	if len(entry.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
+	// The benchmarks ran on this host: ingest reads them from a pipe.
+	entry.NumCPU, entry.GoVersion = runtime.NumCPU(), runtime.Version()
 	replaced := false
 	for i := range f.Entries {
 		if f.Entries[i].Label == label {
@@ -246,6 +255,12 @@ func parse(label string, in io.Reader) (Entry, error) {
 			ns, err := strconv.ParseFloat(m[3], 64)
 			if err != nil {
 				return e, fmt.Errorf("bad ns/op in %q", line)
+			}
+			if e.GOMAXPROCS == 0 {
+				e.GOMAXPROCS = 1
+				if suf := procsSuffix.FindString(m[1]); suf != "" {
+					e.GOMAXPROCS, _ = strconv.Atoi(suf[1:])
+				}
 			}
 			b := Benchmark{
 				Name:       procsSuffix.ReplaceAllString(m[1], ""),

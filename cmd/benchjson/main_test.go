@@ -122,3 +122,30 @@ func TestExtractUnknownLabel(t *testing.T) {
 		t.Fatalf("empty-file extract error = %v, want a no-entries explanation", err)
 	}
 }
+
+// TestIngestMachineRecord pins the machine record stored with an
+// ingested entry: GOMAXPROCS from the benchmark names' suffix, the
+// host's CPU count and the Go toolchain.
+func TestIngestMachineRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+	in := "cpu: Intel(R) Xeon(R) Processor\n" +
+		"BenchmarkDeltaFlip/n=700-2   \t     200\t   1987462 ns/op\t       0 B/op\t       0 allocs/op\n"
+	if err := run(path, "point", "", strings.NewReader(in), nil); err != nil {
+		t.Fatal(err)
+	}
+	f, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.Entries[0]
+	if e.GOMAXPROCS != 2 || e.NumCPU < 1 || !strings.HasPrefix(e.GoVersion, "go") {
+		t.Fatalf("machine record: gomaxprocs %d, num_cpu %d, go %q", e.GOMAXPROCS, e.NumCPU, e.GoVersion)
+	}
+	single, err := parse("one", strings.NewReader("BenchmarkX   \t 1\t 5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.GOMAXPROCS != 1 {
+		t.Fatalf("unsuffixed names: gomaxprocs %d, want 1", single.GOMAXPROCS)
+	}
+}

@@ -60,15 +60,18 @@
 // evaluation (O(n³) per sweep, transcendental-bound). core's
 // expectedMakespan is therefore factorized — every exp/expm1 depends
 // on a single lost-set entry or task constant, combined by running
-// products — and core.DeltaEvaluator persists the lost-set matrix,
-// the running products and per-row placement records between
-// evaluations. Both evaluators read the lost-dependent factors from a
-// per-column memo keyed by the lost entry's bits, so transcendentals
-// are paid once per run of equal values down a column, not per pair.
-// A flip at position j reuses rows k ≤ j verbatim, resumes affected
-// rows mid-row at the flip's recorded placement point, and rebuilds
-// the accumulator suffix with plain multiplications and memo lookups
-// — O(n²) amortized flops per sweep step and results
+// products — and core.DeltaEvaluator persists the lost-set matrix and
+// the running products between evaluations. Both evaluators derive
+// each lost-set row from the one before it: only task k and the tasks
+// placed on the diagonal (k, k) move between rows k and k+1, so only
+// the entries they land in are re-summed and the rest are copied. Both
+// read the lost-dependent factors from a per-column memo keyed by the
+// lost entry's bits, so transcendentals are paid once per run of equal
+// values down a column, not per pair. A flip at position j reuses rows
+// k ≤ j verbatim, runs the row recurrence from row j until no row
+// places a flipped task, and rebuilds the accumulator suffix with
+// plain multiplications and memo lookups — O(n²) amortized flops per
+// sweep step and results
 // that are bit-identical (math.Float64bits) to a cold Evaluator.Eval,
 // so every determinism contract below survives with the fast path on
 // or off (core.SetDeltaPath). Native fuzz plus testing/quick

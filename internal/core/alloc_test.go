@@ -120,8 +120,8 @@ func TestEvaluatorColdAllocBudget(t *testing.T) {
 }
 
 // TestDeltaEvaluatorArenas pins the incremental evaluator's memory
-// footprint (see "Memory" on DeltaEvaluator): exactly three
-// (n+1)×(n+1) arenas — lost, pp and placedAt, ≈ 20·n² bytes — and
+// footprint (see "Memory" on DeltaEvaluator): exactly two
+// (n+1)×(n+1) arenas — lost and pp, ≈ 16·n² bytes — and
 // O(n) for everything else, the per-column factor memo included. It
 // walks the evaluator's own slice fields (embedded state too) by
 // reflection, so a new n² cache cannot slip in unnoticed.
@@ -156,10 +156,10 @@ func TestDeltaEvaluatorArenas(t *testing.T) {
 	}
 	walk(reflect.ValueOf(dv).Elem())
 	sort.Strings(arenas)
-	if got := strings.Join(arenas, ","); got != "lost,placedAt,pp" {
-		t.Errorf("(n+1)² arenas = %s, want lost,placedAt,pp", got)
+	if got := strings.Join(arenas, ","); got != "lost,pp" {
+		t.Errorf("(n+1)² arenas = %s, want lost,pp", got)
 	}
-	if limit := 20*(n+1)*(n+1) + 256*(n+1); bytes > limit {
-		t.Errorf("evaluator holds %d bytes in slices at n=%d, want ≤ %d (≈ 20·n² + O(n))", bytes, n, limit)
+	if limit := 16*(n+1)*(n+1) + 256*(n+1); bytes > limit {
+		t.Errorf("evaluator holds %d bytes in slices at n=%d, want ≤ %d (≈ 16·n² + O(n))", bytes, n, limit)
 	}
 }

@@ -9,17 +9,24 @@
 // costing O(n³) per failure position k and O(n⁴) overall.  Eval is an
 // optimized, algebraically identical version that exploits the fact
 // that, for a fixed k, every task enters the lost set T↓k_i of at
-// most one i: a per-k status array replaces tab_k, each DAG edge is
-// inspected O(1) times per k, and per-k prefix sums turn the
+// most one i, its placement: a per-k placement vector replaces tab_k.
+// Consecutive rows k and k+1 differ only where task k and the tasks
+// placed on the diagonal (k, k) land, so each row is derived from the
+// one before it by moving those tasks and re-summing the entries they
+// land in; every other entry is copied. Running products turn the
 // probability products of properties A and B into O(1) lookups. Eval
-// costs O(n·(E+n)) per schedule, which is what makes the exhaustive
-// checkpoint-count searches of the Section 5 heuristics tractable at
-// the paper's largest instances (n = 700).
+// costs O(n·(E + n log n)) per schedule in the worst case (the tasks
+// that move are sorted in every row) and, on the pwg families, little
+// more than the O(n²) row copies and the expectation pass, which is
+// what makes the exhaustive checkpoint-count searches
+// of the Section 5 heuristics tractable at the paper's largest
+// instances (n = 700) and beyond.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/failure"
@@ -131,12 +138,11 @@ type Evaluator struct {
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
 // schedState is the position-space view of a loaded schedule: its
-// lost-set matrix with the scratch space of the DFS that fills it, and
-// the factors of the makespan pass. It is shared by the cold Evaluator
-// and the incremental DeltaEvaluator so that both compute every
-// lost-set row (lostRow) and every factor (colMemo) with the
-// byte-for-byte identical procedure — the foundation of their
-// bit-identity contract.
+// lost-set matrix with the state of the pass that fills it, and the
+// factors of the makespan pass. It is shared by the cold Evaluator and
+// the incremental DeltaEvaluator so that both compute every lost-set
+// row (lostSets) and every factor (colMemo) with the byte-for-byte
+// identical procedure — the foundation of their bit-identity contract.
 type schedState struct {
 	// 1-based: index 0 unused so the code mirrors the paper's
 	// T_1..T_n notation.
@@ -145,17 +151,27 @@ type schedState struct {
 
 	lost [][]float64 // lost[k][i] = W^i_k + R^i_k (k, i in 1..n)
 
-	// Predecessor positions in CSR layout: the predecessors of
-	// position i are predAdj[predOff[i]:predOff[i+1]]. The flat layout
-	// keeps the lost-set DFS — the hot loop of every row recompute —
-	// on two contiguous arrays instead of chasing per-position slice
-	// headers.
-	predOff []int32
-	predAdj []int32
+	// Predecessor and successor positions in CSR layout: the
+	// predecessors of position i are predAdj[predOff[i]:predOff[i+1]],
+	// its successors (ascending) succAdj[succOff[i]:succOff[i+1]]. The
+	// flat layout keeps the lost-set passes on contiguous arrays
+	// instead of chasing per-position slice headers.
+	predOff, succOff []int32
+	predAdj, succAdj []int32
 
-	st    []int   // per-row DFS status: stamp when placed
-	stk   []int32 // DFS stack
-	stamp int     // current row's placement stamp (strictly increasing)
+	// State of the lost-set pass (see lostSets) for its current row k:
+	// place[o] is the i at which position o < k is placed (0: never);
+	// bucket i lists the positions placed at i, linked from head[i]
+	// through next (0 ends a list).
+	place, head, next []int32
+	stk               []int32 // DFS stack
+	mov               []int32 // advance's movers
+	dirty             []int32 // entries of the current row a position landed in
+	// Stamps drawn from one strictly increasing counter: st[j] marks the
+	// positions entry has visited, mark[i] the entries of the current
+	// row that advance made a position land in.
+	st, mark []int
+	stamp    int
 
 	posBuf []int // task id -> position scratch, reused across loads
 
@@ -180,16 +196,6 @@ func arenaF64(r, w int) [][]float64 {
 	return rows
 }
 
-// arenaI32 is arenaF64 for int32 matrices.
-func arenaI32(r, w int) [][]int32 {
-	buf := make([]int32, r*w)
-	rows := make([][]int32, r)
-	for k := range rows {
-		rows[k] = buf[k*w : (k+1)*w : (k+1)*w]
-	}
-	return rows
-}
-
 // resizeState prepares the shared buffers for an n-task schedule.
 func (ss *schedState) resizeState(n int) {
 	if cap(ss.w) < n+1 {
@@ -197,9 +203,24 @@ func (ss *schedState) resizeState(n int) {
 		ss.c = make([]float64, n+1)
 		ss.r = make([]float64, n+1)
 		ss.ckpt = make([]bool, n+1)
-		ss.predOff = make([]int32, n+2)
-		ss.st = make([]int, n+1)
-		ss.stk = make([]int32, 0, n+1)
+		// The position-space int32 vectors share one allocation, the
+		// stamp vectors another.
+		pack := make([]int32, 8*(n+2))
+		carve := func(l int) []int32 {
+			v := pack[: l : n+2]
+			pack = pack[n+2:]
+			return v
+		}
+		ss.predOff = carve(n + 2)
+		ss.succOff = carve(n + 2)
+		ss.place = carve(n + 1)
+		ss.head = carve(n + 1)
+		ss.next = carve(n + 1)
+		ss.stk = carve(0)
+		ss.mov = carve(0)
+		ss.dirty = carve(0)
+		stamps := make([]int, 2*(n+1))
+		ss.st, ss.mark = stamps[:n+1:n+1], stamps[n+1:]
 		ss.fw = make([]float64, n+1)
 		ss.fc = make([]float64, n+1)
 		ss.gate = make([]float64, n+1)
@@ -211,7 +232,12 @@ func (ss *schedState) resizeState(n int) {
 	ss.r = ss.r[:n+1]
 	ss.ckpt = ss.ckpt[:n+1]
 	ss.predOff = ss.predOff[:n+2]
+	ss.succOff = ss.succOff[:n+2]
+	ss.place = ss.place[:n+1]
+	ss.head = ss.head[:n+1]
+	ss.next = ss.next[:n+1]
 	ss.st = ss.st[:n+1]
+	ss.mark = ss.mark[:n+1]
 	ss.fw = ss.fw[:n+1]
 	ss.fc = ss.fc[:n+1]
 	ss.gate = ss.gate[:n+1]
@@ -224,8 +250,9 @@ func (ss *schedState) loadSchedule(s *Schedule) {
 	g := s.Graph
 	n := g.N()
 	ss.resizeState(n)
-	if cap(ss.predAdj) < g.M() {
-		ss.predAdj = make([]int32, g.M())
+	if m := g.M(); cap(ss.predAdj) < m {
+		adj := make([]int32, 2*m)
+		ss.predAdj, ss.succAdj = adj[:0:m], adj[m:]
 	}
 	ss.predAdj = ss.predAdj[:0]
 	ss.posBuf = g.PositionsInto(s.Order, ss.posBuf)
@@ -243,65 +270,53 @@ func (ss *schedState) loadSchedule(s *Schedule) {
 		}
 		ss.predOff[i+1] = int32(len(ss.predAdj))
 	}
-	ss.stamp = 0
-	for j := range ss.st {
-		ss.st[j] = 0
+	// Transpose into the successor CSR: count, prefix-sum to the end of
+	// each list, then fill backwards so every list ends up ascending and
+	// succOff[j] at its start.
+	off := ss.succOff
+	clear(off)
+	for _, j := range ss.predAdj {
+		off[j]++
 	}
-}
-
-// lostRow fills row[i] = W^i_k + R^i_k for i = k..n — one row of the
-// lost-set matrix (see computeLostSets). When placedAt is non-nil,
-// placedAt[j] records the i at which position j was placed in the
-// row's lost sets (0: never placed) — the DeltaEvaluator's
-// bookkeeping: a later flip of a position with placedAt 0 provably
-// leaves the whole row unchanged (the DFS never read that position's
-// checkpoint flag), and a flip of a placed position leaves every
-// entry before its placement point unchanged.
-func (ss *schedState) lostRow(k, n int, row []float64, placedAt []int32) {
-	// A fresh stamp per row replaces the O(n) status clear; the DFS
-	// arithmetic (and hence every row value) is unchanged.
-	ss.stamp++
-	if placedAt != nil {
-		for j := 1; j < k; j++ {
-			placedAt[j] = 0
+	for x := 1; x <= n+1; x++ {
+		off[x] += off[x-1]
+	}
+	ss.succAdj = ss.succAdj[:len(ss.predAdj)]
+	for i := n; i >= 1; i-- {
+		for _, j := range ss.predAdj[ss.predOff[i]:ss.predOff[i+1]] {
+			off[j]--
+			ss.succAdj[off[j]] = int32(i)
 		}
 	}
-	ss.lostRowFrom(k, n, k, ss.stamp, row, placedAt)
 }
 
-// lostRowFrom is lostRow's DFS restricted to i = startI..n: the caller
-// guarantees that ss.st marks exactly the positions placed while
-// processing i < startI with the given stamp (for startI == k that is
-// no positions). This is the single implementation of Algorithm 1's
-// traversal — the cold evaluator always runs it whole, the
-// DeltaEvaluator resumes it mid-row — so both produce byte-identical
-// rows by construction.
-func (ss *schedState) lostRowFrom(k, n, startI, stamp int, row []float64, placedAt []int32) {
-	st := ss.st
-	for i := startI; i <= n; i++ {
+// lostRow runs Algorithm 1's traversal for row k on its own: it fills
+// row[i] = W^i_k + R^i_k for i = k..n (unless row is nil) and leaves
+// the row's placement in place and its buckets in head/next. It seeds
+// lostSets, which derives every later row from this one, and is the
+// reference the recurrence is tested against.
+func (ss *schedState) lostRow(k, n int, row []float64) {
+	place, head, next := ss.place, ss.head, ss.next
+	clear(place)
+	clear(head)
+	for i := k; i <= n; i++ {
 		sum := 0.0
-		// DFS from the predecessors of i through the
-		// non-checkpointed closure restricted to positions < k. The
-		// first level is inlined; the stack only holds expansions.
+		// DFS from the predecessors of i through the non-checkpointed
+		// closure restricted to positions < k. The first level is
+		// inlined; the stack only holds expansions.
 		stk := ss.stk[:0]
 		l := int32(i)
 		for {
 			for _, j := range ss.predAdj[ss.predOff[l]:ss.predOff[l+1]] {
-				if int(j) >= k {
-					// Executed after the failure: its output is
-					// in memory, the path is cut (Algorithm 1
-					// marks tab 0 and does not recurse).
+				if int(j) >= k || place[j] != 0 {
+					// Executed after the failure (its output is in
+					// memory: Algorithm 1 marks tab 0 and does not
+					// recurse), or already placed in some T↓k_l (l ≤ i)
+					// and rebuilt at that point.
 					continue
 				}
-				if st[j] == stamp {
-					// Already placed in some T↓k_l (l ≤ i):
-					// rebuilt at that point, output in memory.
-					continue
-				}
-				st[j] = stamp
-				if placedAt != nil {
-					placedAt[j] = int32(i)
-				}
+				place[j] = int32(i)
+				next[j], head[i] = head[i], j
 				if ss.ckpt[j] {
 					sum += ss.r[j]
 				} else {
@@ -315,9 +330,166 @@ func (ss *schedState) lostRowFrom(k, n, startI, stamp int, row []float64, placed
 			l = stk[len(stk)-1]
 			stk = stk[:len(stk)-1]
 		}
-		row[i] = sum
+		if row != nil {
+			row[i] = sum
+		}
 	}
-	ss.stk = ss.stk[:0]
+}
+
+// lostSets fills rows k0..n of the lost matrix, deriving each row from
+// the one before it. Row k places position o < k at f_k(o), the
+// smallest i ≥ k reachable from o through non-checkpointed positions
+// < k (0: none). Going from row k to row k+1 only position k and the
+// set S_k placed at the diagonal (k, k) can move (see advance); every
+// other position keeps its placement, so an entry of row k+1 where no
+// moving position lands holds the same positions as in row k, visited
+// by lostRow's DFS in the same order: it is copied bit for bit. The
+// entries where one lands are recomputed (see entry).
+//
+// With minChg nil (a load) row k0 is computed by lostRow and every
+// row is written. Otherwise the stored rows are those of the mask
+// before the checkpoint flags of the positions in flips (ascending,
+// all ≥ k0) were flipped, so rows ≤ k0 are current: only row k0's
+// placement is rebuilt, each later row is compared bit for bit with
+// the stored one, changed entries are written, and minChg[k] receives
+// row k's first changed entry i > k (n+1: none). The pass stops at
+// the first row k past the last flip that places no flipped position:
+// its DFS reads no flipped flag, so it and every later row are the
+// stored ones (a position unplaced in row k stays unplaced in all
+// later rows). minChg of the rows not reached is left as it was.
+func (ss *schedState) lostSets(k0, n int, minChg []int, flips []int) {
+	var row0 []float64
+	if minChg == nil {
+		row0 = ss.lost[k0]
+	}
+	ss.lostRow(k0, n, row0)
+	mark := ss.mark
+	for k := k0 + 1; k <= n; k++ {
+		landed := ss.advance(k - 1)
+		if minChg != nil && k > flips[len(flips)-1] && ss.unplaced(flips) {
+			return
+		}
+		prev, row := ss.lost[k-1], ss.lost[k]
+		if minChg == nil {
+			copy(row[k:], prev[k:])
+			for _, i := range ss.dirty {
+				row[i] = ss.entry(i)
+			}
+			continue
+		}
+		// Bit-level change detection: the delta contract is bit-identity
+		// with a cold evaluation, and `!=` on floats would miss a +0/−0
+		// flip and re-dirty NaNs forever.
+		first := n + 1
+		for i := k; i <= n; i++ {
+			v := prev[i]
+			if mark[i] == landed {
+				v = ss.entry(int32(i))
+			}
+			if math.Float64bits(v) != math.Float64bits(row[i]) {
+				row[i] = v
+				if i > k && first > n {
+					first = i
+				}
+			}
+		}
+		minChg[k] = first
+	}
+}
+
+// unplaced reports whether the current row places none of the given
+// positions.
+func (ss *schedState) unplaced(positions []int) bool {
+	for _, j := range positions {
+		if ss.place[j] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// advance turns row k's placement into row k+1's. It lists in dirty,
+// and stamps in mark, the entries of row k+1 that a position lands in,
+// and returns the stamp. The movers are k and S_k (bucket k);
+// f_{k+1}(o) is the minimum over o's successors s of s itself when
+// s > k, or of f_{k+1}(s) when s ≤ k is not checkpointed. Successors
+// lie above o, so processing the movers in descending position order
+// finds every f_{k+1}(s) already final.
+func (ss *schedState) advance(k int) int {
+	place, head, next, mark := ss.place, ss.head, ss.next, ss.mark
+	mov := ss.mov[:0]
+	for o := head[k]; o != 0; o = next[o] {
+		mov = append(mov, o)
+	}
+	head[k] = 0
+	slices.Sort(mov)
+	mov = append(mov, int32(k))
+	ss.stamp++
+	landed := ss.stamp
+	dirty := ss.dirty[:0]
+	for m := len(mov) - 1; m >= 0; m-- {
+		o := mov[m]
+		f := int32(0)
+		// Successor lists are ascending: the first s > k is the
+		// smallest terminal, and no later successor can beat it.
+		for _, s := range ss.succAdj[ss.succOff[o]:ss.succOff[o+1]] {
+			t := s
+			if int(s) <= k {
+				if ss.ckpt[s] || place[s] == 0 {
+					continue
+				}
+				t = place[s]
+			}
+			if f == 0 || t < f {
+				f = t
+			}
+			if int(s) > k {
+				break
+			}
+		}
+		place[o] = f
+		if f != 0 {
+			next[o], head[f] = head[f], o
+			if mark[f] != landed {
+				mark[f] = landed
+				dirty = append(dirty, f)
+			}
+		}
+	}
+	ss.mov, ss.dirty = mov[:0], dirty
+	return landed
+}
+
+// entry recomputes lost entry i of the current row: lostRow's DFS at i
+// restricted to the positions placed at i, which it visits in the same
+// order and therefore sums bit for bit alike.
+func (ss *schedState) entry(i int32) float64 {
+	place, st := ss.place, ss.st
+	ss.stamp++
+	stamp := ss.stamp
+	sum := 0.0
+	stk := ss.stk[:0]
+	l := i
+	for {
+		for _, j := range ss.predAdj[ss.predOff[l]:ss.predOff[l+1]] {
+			if place[j] != i || st[j] == stamp {
+				continue
+			}
+			st[j] = stamp
+			if ss.ckpt[j] {
+				sum += ss.r[j]
+			} else {
+				sum += ss.w[j]
+				stk = append(stk, j)
+			}
+		}
+		if len(stk) == 0 {
+			break
+		}
+		l = stk[len(stk)-1]
+		stk = stk[:len(stk)-1]
+	}
+	return sum
 }
 
 // lostAbove returns lost[i−1][i], the lost entry of row i's last event
@@ -379,11 +551,10 @@ func (e *Evaluator) Eval(s *Schedule, p failure.Platform) float64 {
 // during X_k, is still needed by position i, and has not already been
 // rebuilt for an intermediate position. Non-checkpointed members
 // contribute their weight w_j (re-execution), checkpointed members
-// their recovery cost r_j.
+// their recovery cost r_j. Row 1 is empty (no task precedes X_1);
+// lostSets derives every later row from the one before it.
 func (e *Evaluator) computeLostSets(n int) {
-	for k := 1; k <= n; k++ {
-		e.lostRow(k, n, e.lost[k], nil)
-	}
+	e.lostSets(1, n, nil, nil)
 }
 
 // expectedMakespan combines properties A, B and C of Theorem 3 into

@@ -38,21 +38,22 @@ func SetDeltaPath(on bool) (prev bool) {
 //
 // # Why flips are cheap
 //
-// Three structural facts bound the work of a flip at position j (all
-// positions are 1-based indices into the linearization):
+// Four structural facts bound the work of a flip whose first flipped
+// position is j (all positions are 1-based indices into the
+// linearization):
 //
 //   - Lost-set rows k ≤ j read only the checkpoint flags of positions
 //     < k ≤ j, so they are byte-for-byte the same computation and are
 //     reused verbatim.
-//   - A row k > j can change only if position j was placed in one of
-//     the row's lost sets T↓k_i by the defining DFS — the DFS reads a
-//     position's flag only after placing it. The evaluator records,
-//     per row, the i at which each position was placed (placedAt), so
-//     unaffected rows are skipped with one lookup per flipped
-//     position, and affected rows resume their DFS mid-row at the
-//     earliest flipped placement point. Recomputed suffixes are
-//     diffed entry by entry; in practice a flip changes about one
-//     entry per affected row.
+//   - Every row is derived from the one before it (see
+//     schedState.lostSets): going from row k to row k+1 only task k
+//     and the tasks placed on the diagonal (k, k) move, and only the
+//     entries they land in are re-summed; the rest are copied. The
+//     flip rebuilds row j's placement with one DFS and runs that
+//     recurrence through the later rows, writing each over the stored
+//     row with a bitwise compare that records the row's first changed
+//     entry. It stops at the first row past the last flip that places
+//     no flipped position: from there on no row reads a flipped flag.
 //   - The running products P(k, ·) of the factorized makespan pass
 //     (see Evaluator.expectedMakespan) are stored (pp); each row's
 //     products strictly before its first changed factor are reused as
@@ -74,13 +75,13 @@ func SetDeltaPath(on bool) (prev bool) {
 //
 // # Memory
 //
-// The O(n²) state is three (n+1)×(n+1) matrices — lost and pp
-// (float64) and placedAt (int32), ≈ 20·n² bytes (10 MB at n = 700,
-// 80 MB at n = 2000) per evaluator — each a single flat arena, so a
-// resize costs O(1) allocations and row-major passes walk memory
-// linearly. Everything else, the memo included, is O(n). Engines that
-// lease one evaluator per worker should budget accordingly at very
-// large n.
+// The O(n²) state is two (n+1)×(n+1) float64 matrices — lost and pp,
+// ≈ 16·n² bytes (8 MB at n = 700, 64 MB at n = 2000) per evaluator —
+// each a single flat arena, so a resize costs O(1) allocations and
+// row-major passes walk memory linearly. Everything else — the memo,
+// the placement vector and its buckets, the successor lists — is
+// O(n+E). Engines that lease one evaluator per worker should budget
+// accordingly at very large n.
 //
 // # Ownership
 //
@@ -100,14 +101,7 @@ type DeltaEvaluator struct {
 	value  float64
 
 	// Theorem-3 state, persisted between evaluations: lost (in
-	// schedState), placedAt and pp.
-	//
-	// placedAt[k][j]: the i at which row k's DFS placed position j in
-	// a lost set (0: never). A flip of j leaves row k unchanged when
-	// placedAt[k][j] == 0, and leaves entries i < placedAt[k][j]
-	// unchanged otherwise, so row recomputation resumes mid-row.
-	placedAt [][]int32
-
+	// schedState) and pp.
 	pp [][]float64 // pp[k][t]: running product P(k,·) through factor t
 	p0 []float64   // p0[i]: k = 0 running product through position i
 
@@ -119,7 +113,6 @@ type DeltaEvaluator struct {
 
 	// Scratch.
 	flips  []int // pending flipped positions, ascending
-	rowBuf []float64
 	minChg []int // per row: first changed window-factor position
 
 	// cold evaluates schedules whose mask diverged too far from the
@@ -277,7 +270,6 @@ func (d *DeltaEvaluator) Invalidate() {
 func (d *DeltaEvaluator) resizeDelta(n int) {
 	d.resizeState(n)
 	if cap(d.pz) < n+1 {
-		d.placedAt = arenaI32(n+1, n+1)
 		d.pp = arenaF64(n+1, n+1)
 		d.p0 = make([]float64, n+1)
 		d.probSum = make([]float64, n+1)
@@ -286,14 +278,12 @@ func (d *DeltaEvaluator) resizeDelta(n int) {
 		d.exRow = make([]float64, n+1)
 		d.totPrefix = make([]float64, n+1)
 		d.pos = make([]int, n)
-		d.rowBuf = make([]float64, n+1)
 		d.minChg = make([]int, n+1)
 		// Scratch is sized for the hot path up front, so flips never
 		// grow a slice mid-evaluation: the flip path is zero-alloc
 		// (pinned by TestDeltaFlipAllocFree).
 		d.flips = make([]int, 0, n+1)
 	}
-	d.placedAt = d.placedAt[:n+1]
 	d.pp = d.pp[:n+1]
 	d.p0 = d.p0[:n+1]
 	d.probSum = d.probSum[:n+1]
@@ -302,7 +292,6 @@ func (d *DeltaEvaluator) resizeDelta(n int) {
 	d.exRow = d.exRow[:n+1]
 	d.totPrefix = d.totPrefix[:n+1]
 	d.pos = d.pos[:n]
-	d.rowBuf = d.rowBuf[:n+1]
 	d.minChg = d.minChg[:n+1]
 }
 
@@ -321,9 +310,7 @@ func (d *DeltaEvaluator) loadFull(s *Schedule, p failure.Platform) float64 {
 		d.pos[id] = d.posBuf[id] + 1
 	}
 	d.loadFactors(d.ensureTable(g, p))
-	for k := 1; k <= n; k++ {
-		d.lostRow(k, n, d.lost[k], d.placedAt[k])
-	}
+	d.lostSets(1, n, nil, nil)
 	d.syncMemos(1, n, true)
 	d.totPrefix[0] = 0
 	for k := 0; k <= n; k++ {
@@ -343,60 +330,18 @@ func (d *DeltaEvaluator) applyFlips() float64 {
 	dmin := d.flips[0]
 
 	// Phase 1: lost-set maintenance. Rows k ≤ dmin read no flipped
-	// flag; a row k > dmin changes only if some flipped position was
-	// placed by the row's DFS (placedAt ≠ 0), and then only from the
-	// earliest such placement point i* on: the DFS through i*−1 never
-	// read a flipped flag, so its state is reconstructed from the
-	// recorded placements and the traversal resumes mid-row.
-	// Recomputed suffixes are diffed entry by entry: minChg[k] tracks
-	// the first changed window factor of each row — a flipped δ_t
-	// toggles the gate of factor t for every row k < t, a changed entry
-	// (k, t) changes the window factor of t — so phase 2 can reuse
-	// stored running products strictly before it.
+	// flag and are kept as stored; lostSets rebuilds row dmin's
+	// placement and derives the later rows from it, writing each over
+	// the stored row, until a row places no flipped position. minChg[k]
+	// tracks the first changed window factor of each row — a changed
+	// entry (k, t) changes the window factor of t, a flipped δ_t
+	// toggles the gate of factor t for every row k < t — so phase 2 can
+	// reuse stored running products strictly before it.
 	for k := 0; k <= n; k++ {
 		d.minChg[k] = n + 1
 	}
-	for k := dmin + 1; k <= n; k++ {
-		pa := d.placedAt[k]
-		iStar := n + 1
-		for _, j := range d.flips {
-			if j >= k {
-				break // flips ascending; placements are < k
-			}
-			if p := int(pa[j]); p != 0 && p < iStar {
-				iStar = p
-			}
-		}
-		if iStar > n {
-			continue // no flipped position was placed: row unchanged
-		}
-		// Prime the DFS status with the placements of i < i*, exactly
-		// the state the full traversal would have at i*, and drop the
-		// stale placements of i ≥ i* (the resumed DFS re-records them).
-		d.stamp++
-		stamp := d.stamp
-		for j := 1; j < k; j++ {
-			if p := pa[j]; p != 0 {
-				if int(p) < iStar {
-					d.st[j] = stamp
-				} else {
-					pa[j] = 0
-				}
-			}
-		}
-		d.lostRowFrom(k, n, iStar, stamp, d.rowBuf, pa)
-		row := d.lost[k]
-		for i := iStar; i <= n; i++ {
-			// Bit-level change detection: the delta contract is
-			// bit-identity with a cold evaluation, and `!=` on floats
-			// would miss a +0/−0 flip and re-dirty NaNs forever.
-			if math.Float64bits(row[i]) != math.Float64bits(d.rowBuf[i]) {
-				row[i] = d.rowBuf[i]
-				if i != k && i < d.minChg[k] {
-					d.minChg[k] = i
-				}
-			}
-		}
+	if dmin < n {
+		d.lostSets(dmin, n, d.minChg, d.flips)
 	}
 	// Fold the flipped fc gates into minChg: the first flip > k caps
 	// row k's unchanged-product prefix (flips is ascending).

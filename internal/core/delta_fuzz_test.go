@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/failure"
+	"repro/internal/pwg"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -18,7 +19,12 @@ import (
 // within tolerance. Besides flips and mask rewrites, the script can
 // switch to a second linearization or another failure rate and revisit
 // an earlier mask, so every reload must reset the per-column factor
-// memo and no stale memo key may survive one. Run `go test -fuzz=FuzzDeltaEvaluator ./internal/core`
+// memo and no stale memo key may survive one. Position opcodes flip
+// the first or last position or the one with the largest fan-out, or
+// checkpoint every task or none: the edge cases of the lost-set
+// recurrence, which derives each row from the one before it. With
+// bit 8 of regime set the graph is a Montage workflow (c = 0.1·w,
+// r = 0.05·w) instead of a random one. Run `go test -fuzz=FuzzDeltaEvaluator ./internal/core`
 // to explore; the seed corpus below runs on every plain `go test`
 // (including CI's -race pass).
 func FuzzDeltaEvaluator(f *testing.F) {
@@ -28,11 +34,38 @@ func FuzzDeltaEvaluator(f *testing.F) {
 	f.Add(uint64(31337), uint64(5), []byte{5, 250, 17, 99, 99, 0, 0, 128})
 	f.Add(uint64(7), uint64(3), []byte{3, 0xe8, 3, 4, 0xe1, 5, 0xd9, 0xe8, 3, 0xdc, 9})
 	f.Add(uint64(2024), uint64(4), []byte{1, 2, 0xe3, 0xe9, 1, 0xda, 0xe4, 0xf3, 0xdb, 6})
+	f.Add(uint64(5), uint64(2), []byte{0xd0, 0xd1, 0xd0, 0xd1, 0xd1, 0xe8, 0xd0, 0xd1})
+	f.Add(uint64(11), uint64(3), []byte{0xd2, 0xd0, 0xd1, 0xd3, 0xd2, 0xd3, 0xd1, 0xd0, 0xd2})
+	f.Add(uint64(13), uint64(0x100|6), []byte{0xd4, 0xd4, 0xd2, 0xd4, 0xd3, 0xd4, 0xe8, 0xd4, 0xd1})
+	f.Add(uint64(29), uint64(0x100), []byte{0xd3, 0xd4, 3, 0xd0, 0xd1, 0xd2, 0xd4, 0xd1})
 	f.Fuzz(func(t *testing.T, seed, regime uint64, script []byte) {
 		r := rng.New(seed%1_000_000 + 1)
 		n := 2 + r.Intn(30)
 		g := randomDAG(r, n)
 		orders := [][]int{identOrder(n), maxReadyOrder(g)}
+		if regime&0x100 != 0 {
+			n = 13 + r.Intn(30)
+			var err error
+			if g, err = pwg.Generate(pwg.Montage, n, seed); err != nil {
+				t.Fatal(err)
+			}
+			// pwg leaves c = r = 0; give checkpoints a cost so a task
+			// summed into the wrong lost entry changes the result.
+			g.ScaleCkptCosts(func(tk dag.Task) (float64, float64) {
+				return 0.1 * tk.Weight, 0.05 * tk.Weight
+			})
+			topo, err := g.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			orders = [][]int{topo, maxReadyOrder(g)}
+		}
+		fanOut := 0 // task id with the most successors, the first on ties
+		for id := 1; id < n; id++ {
+			if len(g.Succs(id)) > len(g.Succs(fanOut)) {
+				fanOut = id
+			}
+		}
 		lin := 0
 		lambdas := []float64{0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
 		p := failure.Platform{
@@ -74,6 +107,21 @@ func FuzzDeltaEvaluator(f *testing.F) {
 					back = len(history)
 				}
 				copy(mask, history[len(history)-back])
+			case step > 0 && b >= 0xd0 && b <= 0xd1:
+				// Rare opcode: flip the first or the last position.
+				id := s.Order[0]
+				if b == 0xd1 {
+					id = s.Order[n-1]
+				}
+				mask[id] = !mask[id]
+			case step > 0 && b >= 0xd2 && b <= 0xd3:
+				// Rare opcode: checkpoint every task, or none.
+				for i := range mask {
+					mask[i] = b == 0xd2
+				}
+			case step > 0 && b == 0xd4:
+				// Rare opcode: flip the task with the largest fan-out.
+				mask[fanOut] = !mask[fanOut]
 			case step > 0:
 				mask[int(b)%n] = !mask[int(b)%n]
 			}
